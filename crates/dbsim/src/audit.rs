@@ -61,6 +61,13 @@ impl AuditLog {
         self.records.push(record);
     }
 
+    /// Removes and yields every record in execution order. A producer that
+    /// hands records on as it goes drains them, so the log holds only the
+    /// records not yet consumed instead of everything ever executed.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, LogRecord> {
+        self.records.drain(..)
+    }
+
     /// Groups records into sessions by `session_id`, preserving execution
     /// order inside each session. Sessions are returned in order of first
     /// appearance.
@@ -173,6 +180,24 @@ mod tests {
         assert_eq!(r.user, "user1");
         assert_eq!(r.rows, 1);
         assert_eq!(r.op, OpKind::Select);
+    }
+
+    #[test]
+    fn drain_empties_the_log_in_execution_order() {
+        let mut db = Database::new();
+        db.create_table("t", &["a"]);
+        let mut adb = AuditedDatabase::new(db, 0);
+        let ctx = SessionContext {
+            user: "u".into(),
+            client_ip: "ip".into(),
+            session_id: 1,
+        };
+        for sql in ["INSERT INTO t (a) VALUES (1)", "SELECT * FROM t"] {
+            adb.execute(&ctx, &parse(sql).unwrap()).unwrap();
+        }
+        let drained: Vec<OpKind> = adb.log.drain().map(|r| r.op).collect();
+        assert_eq!(drained, vec![OpKind::Insert, OpKind::Select]);
+        assert!(adb.log.is_empty());
     }
 
     #[test]

@@ -3,10 +3,20 @@
 //! Evaluation-mode scoring is a pure function of the padded key window
 //! ([`TransDas::position_scores`] runs with dropout disabled), and production
 //! sessions draw from one or two workflows, so the same windows recur
-//! constantly. [`ScoreCache`] memoizes the full `L x vocab` score matrix
-//! under the *exact* window key — full-key equality, not a hash digest — so
-//! a hit returns bit-identical scores and memoized detection is provably
-//! equivalent to unmemoized detection.
+//! constantly. [`ScoreCache`] memoizes scores under the *exact* window key —
+//! full-key equality, not a hash digest — so a hit returns bit-identical
+//! scores and memoized detection is provably equivalent to unmemoized
+//! detection. The entry's shape depends on the scoring mode that reads it
+//! ([`ScoreKind`]):
+//!
+//! - Block scoring stores the `L x vocab` matrix of
+//!   [`TransDas::position_scores`], one row per window position.
+//! - Streaming scoring stores only the `1 x vocab` last row of
+//!   [`TransDas::next_scores_cached_flagged`], the one row its verdict reads.
+//!
+//! The two kinds live in separate maps under one LRU budget, so a lookup of
+//! one kind can never be handed an entry of the other, even when a Block
+//! and a Streaming detector share a cache and score the same padded window.
 //!
 //! The cache is shared across serving shards: lookups take a [`Mutex`] on
 //! the map while hit/miss/eviction counters are lock-free [`ucad_obs`]
@@ -18,6 +28,7 @@
 //! and is negligible next to the transformer forward pass it replaces.
 //!
 //! [`TransDas::position_scores`]: crate::TransDas::position_scores
+//! [`TransDas::next_scores_cached_flagged`]: crate::TransDas::next_scores_cached_flagged
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -54,6 +65,15 @@ impl CacheStats {
     }
 }
 
+/// Which scores an entry memoizes for its padded window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScoreKind {
+    /// The `L x vocab` position-score matrix (Block scoring).
+    Positions,
+    /// The `1 x vocab` last row, `O_L`'s scores (Streaming scoring).
+    NextRow,
+}
+
 struct Entry {
     scores: Arc<Tensor>,
     last_used: u64,
@@ -64,14 +84,15 @@ struct Entry {
 }
 
 struct Lru {
-    map: HashMap<Vec<u32>, Entry>,
+    /// One map per [`ScoreKind`], indexed by `kind as usize`.
+    maps: [HashMap<Vec<u32>, Entry>; 2],
     clock: u64,
     capacity: usize,
     /// Current model epoch; bumped by [`ScoreCache::advance_epoch`].
     epoch: u64,
 }
 
-/// Thread-safe LRU memo of `padded window -> position-score matrix`.
+/// Thread-safe LRU memo of `(score kind, padded window) -> scores`.
 pub struct ScoreCache {
     inner: Mutex<Lru>,
     hits: Counter,
@@ -84,6 +105,12 @@ pub struct ScoreCache {
     lookup_seconds: Histogram,
 }
 
+impl Lru {
+    fn len(&self) -> usize {
+        self.maps.iter().map(HashMap::len).sum()
+    }
+}
+
 impl ScoreCache {
     /// Creates a cache holding at most `capacity` windows.
     ///
@@ -94,7 +121,7 @@ impl ScoreCache {
         assert!(capacity >= 1, "cache capacity must be at least 1");
         ScoreCache {
             inner: Mutex::new(Lru {
-                map: HashMap::new(),
+                maps: [HashMap::new(), HashMap::new()],
                 clock: 0,
                 capacity,
                 epoch: 0,
@@ -147,33 +174,39 @@ impl ScoreCache {
         );
     }
 
-    /// Looks up a padded window, refreshing its recency on a hit. An entry
-    /// memoized under an older model epoch is removed and reported as a
-    /// miss — a hot-swapped model must never be served its predecessor's
-    /// scores.
+    /// Looks up a padded window's [`ScoreKind::Positions`] matrix; see
+    /// [`ScoreCache::get_as`].
     pub fn get(&self, window: &[u32]) -> Option<Arc<Tensor>> {
+        self.get_as(ScoreKind::Positions, window)
+    }
+
+    /// Looks up a padded window's `kind` entry, refreshing its recency on a
+    /// hit. An entry memoized under an older model epoch is removed and
+    /// reported as a miss — a hot-swapped model must never be served its
+    /// predecessor's scores.
+    pub fn get_as(&self, kind: ScoreKind, window: &[u32]) -> Option<Arc<Tensor>> {
         let start = std::time::Instant::now();
-        let result = self.get_inner(window);
+        let result = self.get_inner(kind, window);
         self.lookup_seconds.observe(start.elapsed().as_secs_f64());
         result
     }
 
-    fn get_inner(&self, window: &[u32]) -> Option<Arc<Tensor>> {
-        let mut lru = self.inner.lock().expect("score cache poisoned");
+    fn get_inner(&self, kind: ScoreKind, window: &[u32]) -> Option<Arc<Tensor>> {
+        let mut guard = self.inner.lock().expect("score cache poisoned");
+        let lru = &mut *guard;
         lru.clock += 1;
-        let clock = lru.clock;
-        let epoch = lru.epoch;
-        match lru.map.get_mut(window) {
-            Some(entry) if entry.epoch == epoch => {
-                entry.last_used = clock;
+        let map = &mut lru.maps[kind as usize];
+        match map.get_mut(window) {
+            Some(entry) if entry.epoch == lru.epoch => {
+                entry.last_used = lru.clock;
                 self.hits.inc();
                 Some(Arc::clone(&entry.scores))
             }
             Some(_) => {
-                lru.map.remove(window);
+                map.remove(window);
                 self.stale_drops.inc();
                 self.misses.inc();
-                self.resident.set(lru.map.len() as f64);
+                self.resident.set(lru.len() as f64);
                 None
             }
             None => {
@@ -183,38 +216,45 @@ impl ScoreCache {
         }
     }
 
-    /// Inserts a freshly computed score matrix, evicting the least recently
-    /// used window when at capacity.
+    /// Inserts a freshly computed [`ScoreKind::Positions`] matrix; see
+    /// [`ScoreCache::insert_as`].
     pub fn insert(&self, window: Vec<u32>, scores: Arc<Tensor>) {
-        let mut lru = self.inner.lock().expect("score cache poisoned");
+        self.insert_as(ScoreKind::Positions, window, scores);
+    }
+
+    /// Inserts freshly computed `kind` scores, evicting the least recently
+    /// used entry of either kind when at capacity.
+    pub fn insert_as(&self, kind: ScoreKind, window: Vec<u32>, scores: Arc<Tensor>) {
+        let mut guard = self.inner.lock().expect("score cache poisoned");
+        let lru = &mut *guard;
         lru.clock += 1;
-        let clock = lru.clock;
-        if !lru.map.contains_key(&window) && lru.map.len() >= lru.capacity {
-            if let Some(oldest) = lru
-                .map
+        if !lru.maps[kind as usize].contains_key(&window) && lru.len() >= lru.capacity {
+            let oldest = lru
+                .maps
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                lru.map.remove(&oldest);
+                .enumerate()
+                .flat_map(|(m, map)| map.iter().map(move |(k, e)| (e.last_used, m, k)))
+                .min_by_key(|&(used, _, _)| used)
+                .map(|(_, m, k)| (m, k.clone()));
+            if let Some((m, key)) = oldest {
+                lru.maps[m].remove(&key);
                 self.evictions.inc();
             }
         }
-        let epoch = lru.epoch;
-        lru.map.insert(
+        lru.maps[kind as usize].insert(
             window,
             Entry {
                 scores,
-                last_used: clock,
-                epoch,
+                last_used: lru.clock,
+                epoch: lru.epoch,
             },
         );
-        self.resident.set(lru.map.len() as f64);
+        self.resident.set(lru.len() as f64);
     }
 
     /// Windows currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("score cache poisoned").map.len()
+        self.inner.lock().expect("score cache poisoned").len()
     }
 
     /// True when nothing is cached.
@@ -231,7 +271,7 @@ impl ScoreCache {
             misses: self.misses.get(),
             evictions: self.evictions.get(),
             stale_drops: self.stale_drops.get(),
-            len: lru.map.len(),
+            len: lru.len(),
             capacity: lru.capacity,
         }
     }
@@ -334,6 +374,33 @@ mod tests {
         assert!(text.contains("ucad_cache_stale_drops_total{cache=\"score\"} 1"));
         assert!(text.contains("ucad_cache_misses_total{cache=\"score\"} 1"));
         assert!(text.contains("ucad_cache_len{cache=\"score\"} 0"));
+    }
+
+    #[test]
+    fn score_kinds_never_share_entries() {
+        let cache = ScoreCache::new(4);
+        cache.insert(vec![1, 2], scores(1.0));
+        assert!(cache.get_as(ScoreKind::NextRow, &[1, 2]).is_none());
+        let row = Arc::new(Tensor::full(1, 3, 2.0));
+        cache.insert_as(ScoreKind::NextRow, vec![1, 2], row);
+        assert_eq!(*cache.get(&[1, 2]).unwrap(), Tensor::full(2, 3, 1.0));
+        assert_eq!(
+            *cache.get_as(ScoreKind::NextRow, &[1, 2]).unwrap(),
+            Tensor::full(1, 3, 2.0)
+        );
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.len), (2, 1, 2));
+    }
+
+    #[test]
+    fn eviction_picks_the_oldest_entry_of_either_kind() {
+        let cache = ScoreCache::new(2);
+        cache.insert_as(ScoreKind::NextRow, vec![1], scores(1.0));
+        cache.insert(vec![2], scores(2.0));
+        cache.insert(vec![3], scores(3.0));
+        assert!(cache.get_as(ScoreKind::NextRow, &[1]).is_none());
+        assert!(cache.get(&[2]).is_some());
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
     }
 
     #[test]

@@ -288,6 +288,8 @@ impl<'a> Detector<'a> {
     }
 
     /// [`Detector::streaming_verdict`] with rank/score/cache-hit diagnostics.
+    /// Scores only the `O_L` row the verdict reads, through
+    /// [`TransDas::next_scores_cached_flagged`].
     pub fn streaming_verdict_detail(
         &self,
         keys: &[u32],
@@ -304,9 +306,8 @@ impl<'a> Detector<'a> {
             };
         }
         ucad_fault::on_scoring_forward();
-        let (scores, cache_hit) = self.model.position_scores_cached_flagged(&keys[..t], cache);
-        let row = scores.row(scores.rows() - 1);
-        let (verdict, rank, score) = self.verdict_at(row, keys[t]);
+        let (scores, cache_hit) = self.model.next_scores_cached_flagged(&keys[..t], cache);
+        let (verdict, rank, score) = self.verdict_at(scores.data(), keys[t]);
         VerdictDetail {
             position: t,
             verdict,

@@ -27,7 +27,7 @@ pub mod mask;
 pub mod model;
 pub mod persist;
 
-pub use cache::{CacheStats, ScoreCache};
+pub use cache::{CacheStats, ScoreCache, ScoreKind};
 pub use config::{MaskMode, TransDasConfig};
 pub use detect::{
     Detection, DetectionMode, Detector, DetectorConfig, DetectorConfigBuilder, OpVerdict,

@@ -2,7 +2,7 @@
 //! blocks with the target-disconnect mask, and the Eq. 11 training
 //! objective, trained by sliding windows over tokenized sessions.
 
-use crate::cache::ScoreCache;
+use crate::cache::{ScoreCache, ScoreKind};
 #[cfg(test)]
 use crate::config::MaskMode;
 use crate::config::TransDasConfig;
@@ -10,6 +10,7 @@ use crate::mask::build_mask;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use ucad_nn::init::{normal, xavier_uniform};
@@ -196,7 +197,7 @@ impl TransDas {
                                                            // most of the softmax mass in short, front-padded windows, washing
                                                            // out the real context. Each row keeps itself unmasked so the
                                                            // softmax always has support. Shared with the tape-free eval path.
-        let mask = tape.constant(self.eval_mask(inputs));
+        let mask = tape.constant(self.eval_mask(inputs, 0));
         for (bi, block) in self.blocks.iter().enumerate() {
             // Multi-head attention with masking.
             let attention_span = ucad_obs::span!("model.attention");
@@ -247,14 +248,21 @@ impl TransDas {
         x
     }
 
-    /// The combined mode + padding mask for one padded window: `k0` columns
-    /// are disconnected (except the diagonal) exactly as in the tape
-    /// forward.
-    fn eval_mask(&self, inputs: &[u32]) -> Tensor {
-        let mut mask_t = self.mask.clone();
-        for (j, &key) in inputs.iter().enumerate() {
+    /// The combined mode + padding mask for one padded window, restricted
+    /// to rows and columns `[from, L)`: `k0` columns are disconnected
+    /// (except the diagonal) exactly as in the tape forward. `from = 0`
+    /// gives the full `L x L` mask.
+    fn eval_mask(&self, inputs: &[u32], from: usize) -> Tensor {
+        let n = inputs.len() - from;
+        let mut mask_t = Tensor::zeros(n, n);
+        for i in 0..n {
+            mask_t
+                .row_mut(i)
+                .copy_from_slice(&self.mask.row(from + i)[from..]);
+        }
+        for (j, &key) in inputs[from..].iter().enumerate() {
             if key == 0 {
-                for i in 0..self.cfg.window {
+                for i in 0..n {
                     if i != j {
                         mask_t.set(i, j, crate::mask::NEG_INF);
                     }
@@ -268,6 +276,114 @@ impl TransDas {
     fn slice_rows(t: &Tensor, r0: usize, r1: usize) -> Tensor {
         let c = t.cols();
         Tensor::from_vec(r1 - r0, c, t.data()[r0 * c..r1 * c].to_vec())
+    }
+
+    /// Embedding gather for stacked windows of `n` keys each, plus the
+    /// positional rows `[from, from + n)` per window in the positional
+    /// variant.
+    fn embed_eval(&self, keys: &[u32], n: usize, from: usize) -> Tensor {
+        let idx: Vec<usize> = keys.iter().map(|&k| k as usize).collect();
+        let mut x = self.store.value(self.embedding).gather_rows(&idx);
+        if let Some(pos) = self.positional {
+            let p = self.store.value(pos);
+            for r in 0..keys.len() {
+                for (xc, pc) in x.row_mut(r).iter_mut().zip(p.row(from + r % n)) {
+                    *xc += *pc;
+                }
+            }
+        }
+        x
+    }
+
+    /// One tape-free evaluation block over `masks.len()` stacked windows of
+    /// `n` rows each (window `w` in rows `[w * n, (w + 1) * n)`, attending
+    /// through `masks[w]`). With `last_only`, only each window's last row is
+    /// carried through: its query, attention row, `Wo`, layer norms and FFN,
+    /// against keys and values over all `n` rows, so the result has one row
+    /// per window. Every stage but attention is row-wise, so each carried
+    /// row is bit-identical to the same row of the full block.
+    fn eval_block(&self, block: &Block, x: &Tensor, masks: &[Tensor], last_only: bool) -> Tensor {
+        let store = &self.store;
+        let n = x.rows() / masks.len();
+        let qn = if last_only { 1 } else { n };
+        let xq = if last_only {
+            let last: Vec<usize> = (1..=masks.len()).map(|w| w * n - 1).collect();
+            Cow::Owned(x.gather_rows(&last))
+        } else {
+            Cow::Borrowed(x)
+        };
+        let mask_rows: Vec<Cow<Tensor>> = masks
+            .iter()
+            .map(|m| {
+                if last_only {
+                    Cow::Owned(Self::slice_rows(m, n - 1, n))
+                } else {
+                    Cow::Borrowed(m)
+                }
+            })
+            .collect();
+        let scale = 1.0 / (self.cfg.hidden as f32).sqrt();
+        let attention_span = ucad_obs::span!("model.attention");
+        let mut heads = Vec::with_capacity(self.cfg.heads);
+        for h in 0..self.cfg.heads {
+            // Projections are row-wise: batching them across windows is
+            // exactly the per-window computation.
+            let q_all = xq.matmul(store.value(block.wq[h]));
+            let k_all = x.matmul(store.value(block.wk[h]));
+            let v_all = x.matmul(store.value(block.wv[h]));
+            if let [mask] = mask_rows.as_slice() {
+                heads.push(Self::attend(&q_all, &k_all, &v_all, mask, scale));
+                continue;
+            }
+            let mut head_out = Tensor::zeros(xq.rows(), q_all.cols());
+            // Attention mixes rows, so it runs block-diagonally: each
+            // window only attends within its own n rows.
+            for (w, mask) in mask_rows.iter().enumerate() {
+                let q = Self::slice_rows(&q_all, w * qn, (w + 1) * qn);
+                let k = Self::slice_rows(&k_all, w * n, (w + 1) * n);
+                let v = Self::slice_rows(&v_all, w * n, (w + 1) * n);
+                let av = Self::attend(&q, &k, &v, mask, scale);
+                for i in 0..qn {
+                    head_out.row_mut(w * qn + i).copy_from_slice(av.row(i));
+                }
+            }
+            heads.push(head_out);
+        }
+        let head_refs: Vec<&Tensor> = heads.iter().collect();
+        let mh = Tensor::concat_cols(&head_refs);
+        let projected = mh.matmul(store.value(block.wo));
+        let res = xq.add(&projected);
+        let (normed, _, _) = res.layer_norm_forward(
+            store.value(block.ln1.gain),
+            store.value(block.ln1.bias),
+            block.ln1.eps,
+        );
+        drop(attention_span);
+        let _ffn_span = ucad_obs::span!("model.ffn");
+        let f1 = normed
+            .matmul(store.value(block.ffn1.w))
+            .add_row_broadcast(store.value(block.ffn1.b));
+        let act = f1.map(|v| v.max(0.0));
+        let f2 = act
+            .matmul(store.value(block.ffn2.w))
+            .add_row_broadcast(store.value(block.ffn2.b));
+        let res2 = normed.add(&f2);
+        let (out, _, _) = res2.layer_norm_forward(
+            store.value(block.ln2.gain),
+            store.value(block.ln2.bias),
+            block.ln2.eps,
+        );
+        out
+    }
+
+    /// One window's masked attention, `softmax(q k^T * scale + mask) v`,
+    /// with the tape's per-element rounding sequence (scale, then mask).
+    fn attend(q: &Tensor, k: &Tensor, v: &Tensor, mask: &Tensor, scale: f32) -> Tensor {
+        let mut logits = q.matmul_bt(k);
+        for (l, m) in logits.data_mut().iter_mut().zip(mask.data()) {
+            *l = *l * scale + *m;
+        }
+        logits.softmax_rows().matmul(v)
     }
 
     /// Tape-free evaluation forward over `windows` (each one padded window),
@@ -284,80 +400,47 @@ impl TransDas {
     /// the identity and is skipped.
     fn forward_eval_batch(&self, windows: &[&[u32]]) -> Tensor {
         let l = self.cfg.window;
-        let b = windows.len();
         for w in windows {
             assert_eq!(w.len(), l, "inputs must be full windows");
         }
         let _forward_span = ucad_obs::span!("model.forward");
-        forward_counter().add(b as u64);
-        let store = &self.store;
-        let emb = store.value(self.embedding);
-        let idx: Vec<usize> = windows
-            .iter()
-            .flat_map(|w| w.iter().map(|&k| k as usize))
-            .collect();
-        let mut x = emb.gather_rows(&idx);
-        if let Some(pos) = self.positional {
-            let p = store.value(pos);
-            for w in 0..b {
-                for i in 0..l {
-                    for (xc, pc) in x.row_mut(w * l + i).iter_mut().zip(p.row(i)) {
-                        *xc += *pc;
-                    }
-                }
-            }
-        }
-        let scale = 1.0 / (self.cfg.hidden as f32).sqrt();
-        let masks: Vec<Tensor> = windows.iter().map(|w| self.eval_mask(w)).collect();
+        forward_counter().add(windows.len() as u64);
+        let keys: Vec<u32> = windows.concat();
+        let mut x = self.embed_eval(&keys, l, 0);
+        let masks: Vec<Tensor> = windows.iter().map(|w| self.eval_mask(w, 0)).collect();
         for block in &self.blocks {
-            let attention_span = ucad_obs::span!("model.attention");
-            let mut heads = Vec::with_capacity(self.cfg.heads);
-            for h in 0..self.cfg.heads {
-                // Projections are row-wise: batching them across windows is
-                // exactly the per-window computation.
-                let q_all = x.matmul(store.value(block.wq[h]));
-                let k_all = x.matmul(store.value(block.wk[h]));
-                let v_all = x.matmul(store.value(block.wv[h]));
-                let mut head_out = Tensor::zeros(b * l, q_all.cols());
-                // Attention mixes rows, so it runs block-diagonally: each
-                // window only attends within its own L rows.
-                for (w, mask) in masks.iter().enumerate() {
-                    let q = Self::slice_rows(&q_all, w * l, (w + 1) * l);
-                    let k = Self::slice_rows(&k_all, w * l, (w + 1) * l);
-                    let v = Self::slice_rows(&v_all, w * l, (w + 1) * l);
-                    let a = q.matmul_bt(&k).scale(scale).add(mask).softmax_rows();
-                    let av = a.matmul(&v);
-                    for i in 0..l {
-                        head_out.row_mut(w * l + i).copy_from_slice(av.row(i));
-                    }
-                }
-                heads.push(head_out);
-            }
-            let head_refs: Vec<&Tensor> = heads.iter().collect();
-            let mh = Tensor::concat_cols(&head_refs);
-            let projected = mh.matmul(store.value(block.wo));
-            let res = x.add(&projected);
-            let (normed, _, _) = res.layer_norm_forward(
-                store.value(block.ln1.gain),
-                store.value(block.ln1.bias),
-                block.ln1.eps,
-            );
-            drop(attention_span);
-            let _ffn_span = ucad_obs::span!("model.ffn");
-            let f1 = normed
-                .matmul(store.value(block.ffn1.w))
-                .add_row_broadcast(store.value(block.ffn1.b));
-            let act = f1.map(|v| v.max(0.0));
-            let f2 = act
-                .matmul(store.value(block.ffn2.w))
-                .add_row_broadcast(store.value(block.ffn2.b));
-            let res2 = normed.add(&f2);
-            let (ln2_out, _, _) = res2.layer_norm_forward(
-                store.value(block.ln2.gain),
-                store.value(block.ln2.bias),
-                block.ln2.eps,
-            );
-            x = ln2_out;
+            x = self.eval_block(block, &x, &masks, false);
+        }
+        x
+    }
+
+    /// Evaluation-mode `O_L` — the last output row — of one padded window,
+    /// as a `1 x hidden` tensor. Bit-identical to the last row of
+    /// `forward_eval_batch(&[padded])`, at a fraction of its cost:
+    ///
+    /// - The leading `k0` run (positions `[0, s)`) is dropped. The padding
+    ///   mask cuts every `k0` column off from every other row, so those
+    ///   logits sit at [`crate::NEG_INF`], `exp` underflows them to exactly
+    ///   `+0.0`, and neither the softmax sum (which starts at `+0.0`) nor the
+    ///   zero-skipping `a · v` product ever sees them. No kept row reads a
+    ///   dropped one, and every other stage is row-wise.
+    /// - The final block carries only the last row (see
+    ///   [`TransDas::eval_block`]); earlier blocks need every kept row as
+    ///   keys and values.
+    ///
+    /// The last position is always kept, so an all-`k0` window runs over
+    /// one row.
+    fn forward_last_row(&self, padded: &[u32]) -> Tensor {
+        let l = self.cfg.window;
+        assert_eq!(padded.len(), l, "inputs must be one full window");
+        let _forward_span = ucad_obs::span!("model.forward");
+        forward_counter().inc();
+        let s = padded[..l - 1].iter().take_while(|&&k| k == 0).count();
+        let mut x = self.embed_eval(&padded[s..], l - s, s);
+        let masks = [self.eval_mask(padded, s)];
+        let last = self.blocks.len() - 1;
+        for (bi, block) in self.blocks.iter().enumerate() {
+            x = self.eval_block(block, &x, &masks, bi == last);
         }
         x
     }
@@ -441,11 +524,14 @@ impl TransDas {
     }
 
     /// Scores the *next* operation after `context` against all keys
-    /// (`1 x vocab` row: the paper's `O_L` detection vector).
+    /// (`1 x vocab` row: the paper's `O_L` detection vector). Bit-identical
+    /// to the last row of `position_scores(context)`, computed by the
+    /// context-trimmed last-row forward.
     pub fn next_scores(&self, context: &[u32]) -> Vec<f32> {
-        let padded = self.pad_window(context);
-        let scores = self.position_scores(&padded);
-        scores.row(scores.rows() - 1).to_vec()
+        self.next_scores_cached_flagged(context, None)
+            .0
+            .data()
+            .to_vec()
     }
 
     /// [`TransDas::position_scores`] memoized through an optional
@@ -469,31 +555,47 @@ impl TransDas {
         inputs: &[u32],
         cache: Option<&ScoreCache>,
     ) -> (Arc<Tensor>, Option<bool>) {
-        let padded = self.pad_window(inputs);
-        if let Some(cache) = cache {
-            if let Some(hit) = cache.get(&padded) {
-                return (hit, Some(true));
-            }
-        }
-        let scores = Arc::new(self.position_scores(&padded));
-        if let Some(cache) = cache {
-            cache.insert(padded, Arc::clone(&scores));
-            (scores, Some(false))
-        } else {
-            (scores, None)
-        }
+        self.memoized(ScoreKind::Positions, inputs, cache, |padded| {
+            self.position_scores(padded)
+        })
     }
 
-    /// [`TransDas::next_scores`] memoized through an optional [`ScoreCache`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "duplicate entry point: take the last row of \
-                `position_scores_cached(context, cache)` instead, which shares \
-                the memo and avoids re-deriving the padded window"
-    )]
-    pub fn next_scores_cached(&self, context: &[u32], cache: Option<&ScoreCache>) -> Vec<f32> {
-        let scores = self.position_scores_cached(context, cache);
-        scores.row(scores.rows() - 1).to_vec()
+    /// The streaming scoring path: [`TransDas::next_scores`] as a `1 x vocab`
+    /// tensor, memoized through an optional [`ScoreCache`] under
+    /// [`ScoreKind::NextRow`], plus the hit flag of
+    /// [`TransDas::position_scores_cached_flagged`]. Only the scored row is
+    /// computed and cached, and it is bit-identical to the last row of
+    /// `position_scores(context)`.
+    pub fn next_scores_cached_flagged(
+        &self,
+        context: &[u32],
+        cache: Option<&ScoreCache>,
+    ) -> (Arc<Tensor>, Option<bool>) {
+        self.memoized(ScoreKind::NextRow, context, cache, |padded| {
+            self.forward_last_row(padded)
+                .matmul_bt(self.store.value(self.embedding))
+        })
+    }
+
+    /// Pads `inputs` and serves `score(padded)` from the `kind` entries of
+    /// `cache`, computing and inserting it on a miss.
+    fn memoized(
+        &self,
+        kind: ScoreKind,
+        inputs: &[u32],
+        cache: Option<&ScoreCache>,
+        score: impl FnOnce(&[u32]) -> Tensor,
+    ) -> (Arc<Tensor>, Option<bool>) {
+        let padded = self.pad_window(inputs);
+        let Some(cache) = cache else {
+            return (Arc::new(score(&padded)), None);
+        };
+        if let Some(hit) = cache.get_as(kind, &padded) {
+            return (hit, Some(true));
+        }
+        let scores = Arc::new(score(&padded));
+        cache.insert_as(kind, padded, Arc::clone(&scores));
+        (scores, Some(false))
     }
 
     /// Extracts training windows from tokenized sessions.

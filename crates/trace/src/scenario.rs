@@ -1004,7 +1004,6 @@ impl SessionGenerator {
             client_ip: ip.to_string(),
             session_id,
         };
-        let log_start = self.adb.log.len();
         for &tid in template_ids {
             let stmt = self.spec.templates[tid].instantiate(rng);
             self.adb
@@ -1012,11 +1011,16 @@ impl SessionGenerator {
                 .expect("scenario templates must be schema-consistent");
             self.adb.advance_clock(rng.gen_range(1..20));
         }
-        let ops: Vec<Operation> = self.adb.log.records()[log_start..]
-            .iter()
+        // Drain, not copy: the generator is long-lived (benchmarks stream
+        // tens of thousands of sessions through it), and the audit log
+        // would otherwise keep every record it ever produced.
+        let ops: Vec<Operation> = self
+            .adb
+            .log
+            .drain()
             .map(|r| Operation {
-                sql: r.sql.clone(),
-                table: r.table.clone(),
+                sql: r.sql,
+                table: r.table,
                 kind: r.op,
                 timestamp: r.timestamp,
             })
@@ -1060,6 +1064,57 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// FNV-1a over every field of the generated sessions, so a pinned
+    /// digest catches any change to the generated stream.
+    fn stream_digest(sessions: &[AnnotatedSession]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes.iter().chain(&[0xff]) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for s in sessions {
+            eat(&s.session.id.to_le_bytes());
+            eat(s.session.user.as_bytes());
+            eat(s.session.client_ip.as_bytes());
+            for op in &s.session.ops {
+                eat(op.sql.as_bytes());
+                eat(op.table.as_bytes());
+                eat(format!("{:?}", op.kind).as_bytes());
+                eat(&op.timestamp.to_le_bytes());
+            }
+            for &(start, len) in &s.swap_spans {
+                eat(&(start as u64).to_le_bytes());
+                eat(&(len as u64).to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generator_keeps_no_records_and_its_stream_is_pinned() {
+        let mut sessions = Vec::new();
+        for (spec, count) in [
+            (ScenarioSpec::commenting(), 40),
+            (ScenarioSpec::location_service(), 5),
+        ] {
+            let mut g = SessionGenerator::new(spec);
+            let mut rng = StdRng::seed_from_u64(2022);
+            for _ in 0..count {
+                sessions.push(g.normal_session(&mut rng));
+                assert!(
+                    g.adb.log.is_empty(),
+                    "the generator retained {} audit records",
+                    g.adb.log.len()
+                );
+            }
+        }
+        // Pinned before the audit log was drained: draining must not
+        // change a single generated byte.
+        assert_eq!(stream_digest(&sessions), 0xe407_a58c_15e4_7f80);
+    }
 
     #[test]
     fn commenting_spec_matches_table1_key_counts() {
